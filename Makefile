@@ -29,6 +29,9 @@ check:
 	$(MAKE) stress-chaos
 	$(MAKE) stress-fleet
 	$(MAKE) stress-sample
+	$(MAKE) stress-cancel
+	$(MAKE) stress-detect
+	$(MAKE) serve-smoke
 	$(MAKE) bench-smoke
 
 # Cancellation paths are the raciest part of the lifecycle: a cancel can

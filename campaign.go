@@ -75,13 +75,12 @@ type CampaignConfig struct {
 	// injection-range shards for distributed execution: a shard (s, K)
 	// executes exactly the injection indices i with i ≡ s (mod K), in
 	// increasing order, drawing the full fault sequence from Seed and
-	// discarding the draws it does not own. That stride assignment is the
-	// same one RunCampaignParallel gives worker s of K, so K serial shard
-	// reports merged by MergeShardReports are byte-identical to a
-	// single-node RunCampaignParallel run at workers=K. ShardCount 0 or 1
-	// means unsharded; sharded campaigns run serially on each node (the
-	// fleet, not the worker pool, provides the parallelism) and are
-	// incompatible with Resume.
+	// discarding the draws it does not own. RunCampaignParallel at
+	// workers=K runs the same K shards in-process and merges them with
+	// MergeShardReports, so K serial shard reports merged the same way are
+	// byte-identical to it. ShardCount 0 or 1 means unsharded; sharded
+	// campaigns run serially on each node (the fleet, not the worker pool,
+	// provides the parallelism) and are incompatible with Resume.
 	ShardIndex int
 	ShardCount int
 
@@ -172,7 +171,8 @@ type CampaignConfig struct {
 	// state (see internal/checkpoint). The already-executed prefix of the
 	// deterministic fault sequence is drawn and discarded, so a resumed
 	// campaign's report is bit-identical to an uninterrupted run's.
-	// Incompatible with KeepTrace (traces are not persisted).
+	// Incompatible with KeepTrace (traces are not persisted), sharding, and
+	// RunCampaignParallel at workers > 1: a resume runs serially.
 	Resume *CampaignResume
 
 	// Sampling turns the campaign into a statistically-driven estimator
@@ -200,8 +200,9 @@ type CampaignConfig struct {
 
 // CampaignResume is the state of an interrupted campaign: how many
 // injections were executed (recorded + aborted) and the aggregates they
-// produced. Serial resumption continues the Welford accumulators in place,
-// so the final moments carry no merge reassociation.
+// produced. Resumption is serial only (RunCampaign, or RunCampaignParallel
+// at workers <= 1) and continues the Welford accumulators in place, so the
+// final moments carry no merge reassociation.
 type CampaignResume struct {
 	// Completed is the number of injections already executed — the length
 	// of the fault-sequence prefix to replay without running inference.
@@ -230,8 +231,9 @@ type CampaignResume struct {
 // counting them in CampaignReport.Aborted, until CampaignConfig.MaxAborts
 // is exceeded.
 type InjectionError struct {
-	// Shard is the worker index that executed the injection (0 for serial
-	// campaigns).
+	// Shard is the ShardIndex of the shard that executed the injection: the
+	// worker index of a parallel campaign, the fleet shard's index, and 0
+	// for an unsharded serial campaign.
 	Shard int
 
 	// Injection is the global injection index within the campaign.
@@ -247,7 +249,7 @@ type InjectionError struct {
 // Error renders the abort with enough context to replay it (the fault plus
 // its position in the deterministic sequence).
 func (e *InjectionError) Error() string {
-	return fmt.Sprintf("goldeneye: injection %d aborted on worker %d (%s): panic: %v",
+	return fmt.Sprintf("goldeneye: injection %d aborted on shard %d (%s): panic: %v",
 		e.Injection, e.Shard, e.Fault, e.Panic)
 }
 
@@ -598,8 +600,7 @@ func (sc *campaignScratch) release() {
 
 // traceCopy returns out with its Extra fault slice deep-copied. Outcomes
 // headed for a report's Trace outlive the injection group that produced
-// them, while Extra aliases the runner's reused fault scratch (and, on the
-// parallel path, the shared pre-drawn sequence the next resume may reuse).
+// them, while Extra aliases the runner's reused fault scratch.
 func traceCopy(out InjectionOutcome) InjectionOutcome {
 	if len(out.Extra) > 0 {
 		out.Extra = append([]inject.Fault(nil), out.Extra...)
@@ -669,10 +670,6 @@ func (s *Simulator) campaignGeometry(cfg CampaignConfig) (campaignGeom, error) {
 		if cfg.Resume != nil {
 			return fail(configErrf("Sampling",
 				"sampled campaigns do not resume (the estimator state is not checkpointed); re-run the campaign"))
-		}
-		if cfg.Sampling.TargetCI > 0 && cfg.sharded() {
-			return fail(configErrf("Sampling",
-				"sequential stopping needs the whole campaign's moments; a shard cannot stop on its own (drop TargetCI or the shard geometry)"))
 		}
 		if cfg.Sampling.Prune {
 			switch {
@@ -998,8 +995,8 @@ func (r *campaignRunner) withTiming(h *nn.HookSet) *nn.HookSet {
 }
 
 // faultDrawer draws a campaign's deterministic fault sequence from its
-// seed. It is the single drawing implementation shared by the serial and
-// parallel paths (and by resume-prefix replay), so the sequences cannot
+// seed. It is the single drawing implementation shared by every shard, the
+// sampling selection and resume-prefix replay, so the sequences cannot
 // drift apart.
 type faultDrawer struct {
 	src  *rng.RNG
@@ -1013,16 +1010,9 @@ func newFaultDrawer(cfg *CampaignConfig, g campaignGeom) *faultDrawer {
 	return &faultDrawer{src: rng.New(cfg.Seed), cfg: cfg, geom: g}
 }
 
-// next produces the next injection's fault set in fresh storage.
-func (d *faultDrawer) next() []inject.Fault {
-	faults := make([]inject.Fault, d.geom.flips)
-	d.nextInto(faults)
-	return faults
-}
-
-// nextInto draws the next injection's fault set into dst (len geom.flips),
-// consuming exactly the RNG stream next would — the allocation-free form
-// the batched loop uses with its scratch rows.
+// nextInto draws the next injection's fault set into dst (len geom.flips).
+// It allocates nothing, so the injection loop draws straight into its
+// scratch rows.
 func (d *faultDrawer) nextInto(dst []inject.Fault) {
 	for j := range dst {
 		if d.cfg.Site == inject.SiteAccum {
@@ -1044,24 +1034,48 @@ func abortedOutcome(faults []inject.Fault, sample int) InjectionOutcome {
 	return out
 }
 
-// runOne executes one injected inference and returns its outcome. Weight
-// corruption is undone via defer so that a panic inside the forward pass
-// (recovered by runIsolated) cannot leak corrupted weights into the next
-// injection.
-func (r *campaignRunner) runOne(faults []inject.Fault, sample int) (out InjectionOutcome, err error) {
+// runGroup executes one injection group in a single forward pass —
+// injection k applies faultsets[k] to pool sample samples[k] — and writes
+// the outcomes into outs. A one-row group is the serial path: tensor-wide
+// format metadata on the pool row itself, and the only path weight faults
+// take (weights are shared by every row of a batch). A wider group gathers
+// its rows into one batched pass under per-row metadata (numfmt.AxisBatch)
+// with row-confined detection and recovery, so every row stays
+// bit-identical to its one-row inference. Weight corruption is undone via
+// defer, so a panic inside the forward pass cannot leak corrupted weights
+// into the next injection. The only error is a weight fault that cannot be
+// applied.
+func (r *campaignRunner) runGroup(faultsets [][]inject.Fault, samples []int, outs []InjectionOutcome) error {
 	cfg := r.cfg
-	out.FirstNonFiniteLayer = -1
-	hooks := r.baseHooks()
+	rows := len(samples)
+	emulation := r.baseHooks
+	x := r.pool.X.Slice(samples[0], samples[0]+1)
+	y := r.pool.Y[samples[0] : samples[0]+1]
+	if rows > 1 {
+		emulation = r.batchHooks
+		x = r.scratch.gather(r.pool.X, samples)
+		y = r.scratch.yb[:rows]
+		for k, s := range samples {
+			y[k] = r.pool.Y[s]
+		}
+	}
+	// Hook registration order: emulation, then the injection at the target
+	// layer, then the range detector's clamp, then the detection pipeline —
+	// so faults are detected rather than prevented.
+	hooks := emulation()
 	switch {
 	case cfg.Site == inject.SiteAccum:
 		// Registered after the emulation accum entries, so the layer's
 		// assigned accumulator rounding stays first in the merged spec and
-		// the faults corrupt the quantized reduction.
-		spec := nn.AccumSpec{Faults: inject.AccumFaultsFor(r.injFormat, faults, 0)}
+		// the faults corrupt the quantized reduction. Row k's faults land on
+		// batch row k of the target layer's GEMM.
+		var afs []nn.AccumFault
+		for k, fs := range faultsets {
+			afs = append(afs, inject.AccumFaultsFor(r.injFormat, fs, k)...)
+		}
+		spec := nn.AccumSpec{Faults: afs}
 		hooks.Accum(nn.ByIndex(cfg.Layer), func(nn.LayerInfo) nn.AccumSpec { return spec })
-	case cfg.Target == inject.TargetNeuron:
-		hooks.PostForward(nn.ByIndex(cfg.Layer), inject.NeuronHookMulti(r.injFormat, faults))
-	default:
+	case cfg.Target == inject.TargetWeight:
 		var restores []func()
 		// Undo weight corruption in reverse order so overlapping faults
 		// restore correctly — deferred, so panic unwinding restores too.
@@ -1070,170 +1084,16 @@ func (r *campaignRunner) runOne(faults []inject.Fault, sample int) (out Injectio
 				restores[j]()
 			}
 		}()
-		for _, fault := range faults {
-			restore, ferr := inject.WeightFault(r.injFormat, fault, r.sim.widx)
-			if ferr != nil {
-				return out, ferr
+		for _, fault := range faultsets[0] {
+			restore, err := inject.WeightFault(r.injFormat, fault, r.sim.widx)
+			if err != nil {
+				return err
 			}
 			restores = append(restores, restore)
 		}
-	}
-	if r.ranger != nil {
-		hooks.PostForward(nn.AllLayers(), r.ranger.ClampHook())
-	}
-	var rec *detect.Recorder
-	if r.pipeline != nil {
-		// Armed after the injection hook, so faults are detected rather
-		// than prevented (same registration rule as the ranger clamp).
-		rec = detect.NewRecorder(1)
-		hooks.Merge(r.pipeline.Arm(rec))
-	}
-
-	x := r.pool.X.Slice(sample, sample+1)
-	logits := nn.Forward(nn.NewContext(r.withTiming(hooks)), r.sim.model, x)
-
-	// Re-execution without the transient fault, shared by legacy
-	// MeasureDMR, the pipeline's DMR comparator, and RecoverReexecute.
-	// Weight corruption is still in place, so it escapes DMR detection and
-	// survives re-execution (as the real techniques would).
-	var again *tensor.Tensor
-	runRedo := func() *tensor.Tensor {
-		redo := r.baseHooks()
-		if r.ranger != nil {
-			redo.PostForward(nn.AllLayers(), r.ranger.ClampHook())
-		}
-		if r.pipeline != nil {
-			// Mirror the faulty pass's protection context; detections on
-			// the clean duplicate are discarded.
-			redo.Merge(r.pipeline.Arm(detect.NewRecorder(1)))
-		}
-		return nn.Forward(nn.NewContext(r.withTiming(redo)), r.sim.model, x)
-	}
-	if cfg.MeasureDMR || (r.pipeline != nil && r.pipeline.NeedsRerun()) {
-		again = runRedo()
-		if cfg.MeasureDMR {
-			out.Detected = !again.AllClose(logits, 0)
-		}
-		if r.pipeline != nil {
-			r.pipeline.CompareOutputs(rec, logits, again)
-		}
-	}
-
-	out.Fault = faults[0]
-	out.Sample = sample
-	if len(faults) > 1 {
-		out.Extra = faults[1:]
-	}
-	detected := false
-	if rec != nil {
-		out.DetectedBy = rec.DetectedBy(0)
-		out.FirstNonFiniteLayer = rec.FirstNonFiniteLayer(0)
-		detected = len(out.DetectedBy) > 0
-		if detected {
-			out.Detected = true
-		}
-	}
-	final := logits
-	if detected {
-		switch r.pipeline.Policy() {
-		case detect.PolicyAbort:
-			out.Aborted = true
-			return out, nil
-		case detect.PolicyReexecute:
-			if again == nil {
-				again = runRedo()
-			}
-			final = again
-		}
-	}
-
-	faultyLoss := train.CrossEntropyPerSample(final, r.pool.Y[sample:sample+1])[0]
-	out.Mismatch = final.ArgMaxRows()[0] != r.cleanPred[sample]
-	out.DeltaLoss = metrics.DeltaLoss(r.cleanLoss[sample], faultyLoss)
-	out.NonFinite = final.CountNonFinite() > 0 || out.FirstNonFiniteLayer >= 0
-	if detected && r.pipeline.Policy() != detect.PolicyNone {
-		out.Recovered = !out.Mismatch
-	}
-	return out, nil
-}
-
-// runIsolated executes one injection with panic isolation: a panic inside
-// the injected inference is recovered and converted into an
-// *InjectionError carrying the shard index and the offending fault, so one
-// corrupted injection degrades the campaign instead of killing the process.
-func (r *campaignRunner) runIsolated(shard, injection int, faults []inject.Fault, sample int) (out InjectionOutcome, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			out = abortedOutcome(faults, sample)
-			err = &InjectionError{Shard: shard, Injection: injection, Fault: faults[0], Panic: p}
-		}
-	}()
-	return r.runOne(faults, sample)
-}
-
-// runBatch executes a group of injections — injection idx[k] applies
-// faultsets[k] to pool sample samples[k] — in one batched forward pass,
-// returning per-injection outcomes and errors positionally. Each batch row
-// carries its own fault under per-row format metadata, so every outcome is
-// bit-identical to the serial batch-1 path. If anything inside the batched
-// pass panics, the whole group falls back to per-injection serial
-// execution, which reproduces the non-aborting rows bit-identically and
-// confines the abort to the offending injection(s).
-func (r *campaignRunner) runBatch(shard int, idx []int, faultsets [][]inject.Fault, samples []int) ([]InjectionOutcome, []error) {
-	// Scratch-backed: valid until the runner's next runBatch call, which is
-	// after the caller has folded them into its report.
-	outs := r.scratch.outs[:len(idx)]
-	errs := r.scratch.errs[:len(idx)]
-	for k := range outs {
-		outs[k] = InjectionOutcome{}
-		errs[k] = nil
-	}
-	serially := func() {
-		for k := range idx {
-			outs[k], errs[k] = r.runIsolated(shard, idx[k], faultsets[k], samples[k])
-		}
-	}
-	if len(idx) == 1 || r.cfg.Target != inject.TargetNeuron {
-		serially()
-		return outs, errs
-	}
-	if !r.tryRunBatch(faultsets, samples, outs) {
-		serially()
-	}
-	return outs, errs
-}
-
-// tryRunBatch attempts the batched pass proper; false means a panic was
-// recovered and the caller must re-run the group serially.
-func (r *campaignRunner) tryRunBatch(faultsets [][]inject.Fault, samples []int, outs []InjectionOutcome) (ok bool) {
-	defer func() {
-		if p := recover(); p != nil {
-			ok = false
-		}
-	}()
-	cfg := r.cfg
-	rows := len(samples)
-	xb := r.scratch.gather(r.pool.X, samples)
-	yb := r.scratch.yb[:rows]
-	for k, s := range samples {
-		yb[k] = r.pool.Y[s]
-	}
-	// Same hook registration order as the serial path: emulation, then
-	// injection at the target layer, then the range detector's clamp, then
-	// the detection pipeline. Detection and recovery are row-confined, so
-	// every row stays bit-identical to its serial batch-1 inference.
-	hooks := r.batchHooks()
-	if cfg.Site == inject.SiteAccum {
-		// One accumulator spec covers the whole pass: row k's faults land
-		// on batch row k of the target layer's GEMM, so each injection
-		// corrupts only its own sample's reduction.
-		var afs []nn.AccumFault
-		for k, fs := range faultsets {
-			afs = append(afs, inject.AccumFaultsFor(r.injFormat, fs, k)...)
-		}
-		spec := nn.AccumSpec{Faults: afs}
-		hooks.Accum(nn.ByIndex(cfg.Layer), func(nn.LayerInfo) nn.AccumSpec { return spec })
-	} else {
+	case rows == 1:
+		hooks.PostForward(nn.ByIndex(cfg.Layer), inject.NeuronHookMulti(r.injFormat, faultsets[0]))
+	default:
 		hooks.PostForward(nn.ByIndex(cfg.Layer), inject.NeuronHookBatched(r.injFormat, faultsets))
 	}
 	if r.ranger != nil {
@@ -1244,17 +1104,24 @@ func (r *campaignRunner) tryRunBatch(faultsets [][]inject.Fault, samples []int, 
 		rec = detect.NewRecorder(rows)
 		hooks.Merge(r.pipeline.Arm(rec))
 	}
-	logits := nn.Forward(nn.NewContext(r.withTiming(hooks)), r.sim.model, xb)
+	logits := nn.Forward(nn.NewContext(r.withTiming(hooks)), r.sim.model, x)
+
+	// Re-execution without the transient fault, shared by legacy
+	// MeasureDMR, the pipeline's DMR comparator, and RecoverReexecute.
+	// Weight corruption is still in place, so it escapes DMR detection and
+	// survives re-execution (as the real techniques would).
 	var again *tensor.Tensor
 	runRedo := func() *tensor.Tensor {
-		redo := r.batchHooks()
+		redo := emulation()
 		if r.ranger != nil {
 			redo.PostForward(nn.AllLayers(), r.ranger.ClampHook())
 		}
 		if r.pipeline != nil {
+			// Mirror the faulty pass's protection context; detections on
+			// the clean duplicate are discarded.
 			redo.Merge(r.pipeline.Arm(detect.NewRecorder(rows)))
 		}
-		return nn.Forward(nn.NewContext(r.withTiming(redo)), r.sim.model, xb)
+		return nn.Forward(nn.NewContext(r.withTiming(redo)), r.sim.model, x)
 	}
 	if cfg.MeasureDMR || (r.pipeline != nil && r.pipeline.NeedsRerun()) {
 		again = runRedo()
@@ -1268,14 +1135,14 @@ func (r *campaignRunner) tryRunBatch(faultsets [][]inject.Fault, samples []int, 
 		again = runRedo()
 	}
 	preds := logits.ArgMaxRows()
-	losses := train.CrossEntropyPerSample(logits, yb)
+	losses := train.CrossEntropyPerSample(logits, y)
 	nonFinite := logits.NonFiniteRows()
 	var redoPreds []int
 	var redoLosses []float64
 	var redoNonFinite []int
 	if again != nil {
 		redoPreds = again.ArgMaxRows()
-		redoLosses = train.CrossEntropyPerSample(again, yb)
+		redoLosses = train.CrossEntropyPerSample(again, y)
 		redoNonFinite = again.NonFiniteRows()
 	}
 	for k := range outs {
@@ -1318,7 +1185,296 @@ func (r *campaignRunner) tryRunBatch(faultsets [][]inject.Fault, samples []int, 
 		}
 		outs[k] = out
 	}
-	return true
+	return nil
+}
+
+// runIsolated executes one injection (a one-row group) with panic
+// isolation: a panic inside the injected inference is recovered and
+// converted into an *InjectionError carrying the shard index and the
+// offending fault, so one corrupted injection degrades the campaign
+// instead of killing the process.
+func (r *campaignRunner) runIsolated(shard, injection int, faultsets [][]inject.Fault, samples []int, outs []InjectionOutcome) (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			outs[0] = abortedOutcome(faultsets[0], samples[0])
+			err = &InjectionError{Shard: shard, Injection: injection, Fault: faultsets[0][0], Panic: p}
+		}
+	}()
+	return r.runGroup(faultsets, samples, outs)
+}
+
+// runBatch executes a group of injections — injection idx[k] applies
+// faultsets[k] to pool sample samples[k] — returning per-injection
+// outcomes and errors positionally. A multi-row group runs as one batched
+// pass; if anything inside it panics, the group falls back to
+// per-injection execution, which reproduces the non-aborting rows
+// bit-identically and confines the abort to the offending injection(s).
+func (r *campaignRunner) runBatch(shard int, idx []int, faultsets [][]inject.Fault, samples []int) ([]InjectionOutcome, []error) {
+	// Scratch-backed: valid until the runner's next runBatch call, which is
+	// after the caller has folded them into its report.
+	outs := r.scratch.outs[:len(idx)]
+	errs := r.scratch.errs[:len(idx)]
+	for k := range outs {
+		outs[k] = InjectionOutcome{}
+		errs[k] = nil
+	}
+	if len(idx) > 1 && r.tryBatch(faultsets, samples, outs) {
+		return outs, errs
+	}
+	for k := range idx {
+		errs[k] = r.runIsolated(shard, idx[k], faultsets[k:k+1], samples[k:k+1], outs[k:k+1])
+	}
+	return outs, errs
+}
+
+// tryBatch runs a multi-row group; false means a panic was recovered and
+// the caller must re-run the group one injection at a time.
+func (r *campaignRunner) tryBatch(faultsets [][]inject.Fault, samples []int, outs []InjectionOutcome) (ok bool) {
+	defer func() {
+		if recover() != nil {
+			ok = false
+		}
+	}()
+	return r.runGroup(faultsets, samples, outs) == nil
+}
+
+// shardShared is the in-process state the shards of one campaign share, and
+// the only state they share. A standalone run (serial, or one fleet shard)
+// gets a local instance; RunCampaignParallel hands one instance to all of
+// its in-process shards.
+type shardShared struct {
+	// shards counts the campaign shards sharing this state: 1 standalone,
+	// K in-process.
+	shards int
+
+	// done is the cumulative executed-injection count Progress reports,
+	// summed across the sharing shards.
+	done atomic.Int64
+
+	// aborted is the panicked-injection count MaxAborts bounds, combined
+	// across the sharing shards.
+	aborted atomic.Int64
+
+	// barrier runs a TargetCI campaign's review rounds (nil otherwise): a
+	// standalone run reviews its own interval, in-process shards review
+	// their merged interval in lockstep.
+	barrier *ciBarrier
+}
+
+// newShardShared builds the state shards sharing cfg's campaign use.
+func newShardShared(cfg *CampaignConfig, shards int) *shardShared {
+	sh := &shardShared{shards: shards}
+	if cfg.Sampling != nil && cfg.Sampling.TargetCI > 0 {
+		sh.barrier = newCIBarrier(shards, stopBounds(cfg.Sampling, cfg.Injections), cfg.Sampling.TargetCI)
+	}
+	return sh
+}
+
+// shardFold is one shard's outcome accounting: the report its outcomes fold
+// into, plus the instruments and shared counters the fold updates.
+type shardFold struct {
+	cfg    *CampaignConfig
+	rep    *CampaignReport
+	sel    *campaignSelection
+	ct     *campaignTelemetry
+	shared *shardShared
+	work   *telemetry.Counter // this worker's recorded injections; nil standalone
+}
+
+// fold accounts one executed injection — global index i, its outcome, and
+// the error runBatch returned for it — and returns a non-nil error when the
+// campaign must stop: a failure other than a recovered panic, or the
+// combined panic count exceeding MaxAborts.
+func (f *shardFold) fold(i int, out InjectionOutcome, err error, per time.Duration) error {
+	var ie *InjectionError
+	if err != nil && !errors.As(err, &ie) {
+		return err
+	}
+	rep := f.rep
+	if f.sel != nil {
+		f.sel.observe(rep.Sampling, i, out)
+		out.Index = i
+	}
+	switch {
+	case ie != nil:
+		// The inference panicked and was recovered (degraded mode).
+		rep.Aborted++
+		f.ct.recordAborted()
+	case out.Aborted:
+		// A RecoverAbort detection discarded this inference: counted in
+		// Aborted (and the detector breakdown) but excluded from the metric
+		// aggregates and the MaxAborts threshold.
+		rep.Aborted++
+		rep.Detected++
+		f.ct.recordAborted()
+		f.ct.recordDetections(out.DetectedBy, false)
+		rep.recordDetections(out)
+	default:
+		f.ct.record(out.Mismatch, out.NonFinite, out.Detected, per)
+		f.ct.recordDetections(out.DetectedBy, out.Recovered)
+		if f.work != nil {
+			f.work.Inc()
+		}
+		rep.Record(out.Mismatch, out.DeltaLoss, out.NonFinite)
+		if out.Detected {
+			rep.Detected++
+		}
+		if out.Recovered {
+			rep.Recovered++
+		}
+		rep.recordDetections(out)
+	}
+	if f.cfg.KeepTrace {
+		rep.Trace = append(rep.Trace, traceCopy(out))
+	}
+	if ie != nil {
+		if total := f.shared.aborted.Add(1); f.cfg.MaxAborts > 0 && total > int64(f.cfg.MaxAborts) {
+			return fmt.Errorf("goldeneye: %d aborted injections exceed MaxAborts=%d: %w", total, f.cfg.MaxAborts, ie)
+		}
+	}
+	return nil
+}
+
+// runShard is the campaign engine. It builds one runner on s and executes
+// cfg's stride slice — the injection indices i ≡ ShardIndex (mod
+// ShardCount) in increasing order, every index past a resumed prefix when
+// unsharded — folding each outcome into the returned report. RunCampaign
+// runs it once; RunCampaignParallel runs one per in-process shard and merges
+// them with MergeShardReports, exactly as the fleet merges remote shards.
+// On cancellation or a fatal error the partial report comes back with the
+// error. work, when non-nil, counts the shard's recorded injections.
+func (s *Simulator) runShard(ctx context.Context, cfg CampaignConfig, shared *shardShared, work *telemetry.Counter) (*CampaignReport, error) {
+	runner, err := s.newRunner(ctx, cfg)
+	if err != nil {
+		return nil, err
+	}
+	defer runner.close()
+
+	rep := &CampaignReport{Config: cfg, PerDetector: runner.detectorBaseline()}
+	sel := runner.buildSelection()
+	if sel != nil {
+		rep.Sampling = sel.space.NewReport()
+	}
+	skip := 0
+	if cfg.Resume != nil {
+		skip = cfg.Resume.Completed
+		rep.CampaignResult = cfg.Resume.Result
+		rep.Detected = cfg.Resume.Detected
+		rep.Aborted = cfg.Resume.Aborted
+		rep.Recovered = cfg.Resume.Recovered
+		rep.PerDetector = mergeResumeDetectors(rep.PerDetector, cfg.Resume.PerDetector)
+		// Prior aborts count toward the MaxAborts threshold.
+		shared.aborted.Add(int64(cfg.Resume.Aborted))
+	}
+	// The injection indices this shard owns and executes: its stride slice
+	// past a resumed prefix (Resume is standalone and unsharded only), minus
+	// the indices a sampled campaign's selection skips or prunes.
+	owns := func(i int) bool { return !cfg.sharded() || i%cfg.ShardCount == cfg.ShardIndex }
+	mine := make([]int, 0, cfg.PlannedInjections())
+	for i := skip; i < cfg.Injections; i++ {
+		if owns(i) && sel.executed(i) {
+			mine = append(mine, i)
+		}
+	}
+	// Progress totals cover what the sharing shards execute: this shard plus
+	// a resumed prefix when standalone, the whole campaign in-process.
+	total := skip + len(mine)
+	if shared.shards > 1 {
+		total = cfg.Injections
+		if sel != nil {
+			total = sel.executedCount()
+		}
+	}
+	progress := func(executed int) {
+		if cfg.Progress != nil {
+			cfg.Progress(int(shared.done.Add(int64(executed))), total)
+		}
+	}
+	if skip > 0 {
+		progress(skip)
+	}
+	f := &shardFold{
+		cfg: &cfg, rep: rep, sel: sel, shared: shared, work: work,
+		ct: newCampaignTelemetry(cfg.Metrics, total, detect.Names(cfg.Detectors)),
+	}
+	// A sampled campaign's dispatch (drawn/pruned/skipped per stratum) is a
+	// pure function of the selection, so the whole owned fault space is
+	// accounted before any forward pass. The population the estimator
+	// targets is therefore always the full fault space: at a review
+	// boundary the executed prefix is the sample, the remaining selected
+	// mass keeps the finite-population correction below one, and an early
+	// stop leaves Drawn > Pruned+Skipped+Executed+Aborted in the strata the
+	// stop cut short.
+	if sel != nil {
+		sel.account(rep.Sampling, skip, cfg.Injections, owns)
+	}
+	if shared.barrier != nil {
+		shared.barrier.publish(cfg.ShardIndex, rep.Sampling)
+	}
+
+	// The fault sequence is always drawn from index 0 in serial order; draws
+	// this shard does not execute (a resumed prefix, other shards' indices,
+	// unselected indices) are consumed into a discard row, so every owned
+	// fault is bit-identical to an unsharded run's.
+	drawer := newFaultDrawer(&cfg, runner.geom)
+	discard := make([]inject.Fault, runner.geom.flips)
+	drawPos := 0
+	n := runner.pool.Len()
+	batch := runner.batch
+	// Sequential-stopping review windows: one window covering the whole
+	// campaign normally; a TargetCI campaign reviews its interval at every
+	// CheckEvery boundary.
+	mstart := 0
+	for round, bound := range stopBounds(cfg.Sampling, cfg.Injections) {
+		mend := mstart
+		for mend < len(mine) && mine[mend] < bound {
+			mend++
+		}
+		for base := mstart; base < mend; base += batch {
+			if err := ctx.Err(); err != nil {
+				rep.Interrupted = true
+				return rep, err
+			}
+			rows := min(batch, mend-base)
+			idx := runner.scratch.idx[:rows]
+			faultsets := runner.scratch.faultsets[:rows]
+			samples := runner.scratch.samples[:rows]
+			for k := range idx {
+				i := mine[base+k]
+				for ; drawPos < i; drawPos++ {
+					drawer.nextInto(discard)
+				}
+				idx[k] = i
+				faultsets[k] = runner.scratch.faultRow(k, runner.geom.flips)
+				drawer.nextInto(faultsets[k])
+				drawPos++
+				samples[k] = i % n
+			}
+			start := time.Now()
+			outs, errs := runner.runBatch(cfg.ShardIndex, idx, faultsets, samples)
+			// Latency accounting stays per injection so the histogram's count
+			// matches the injection counters in both modes; a batched pass
+			// amortizes its wall time evenly over its rows.
+			per := time.Since(start) / time.Duration(rows)
+			progress(rows)
+			if batch > 1 {
+				f.ct.recordBatch(rows, batch)
+			}
+			for k, i := range idx {
+				if err := f.fold(i, outs[k], errs[k], per); err != nil {
+					return rep, err
+				}
+			}
+		}
+		mstart = mend
+		if shared.barrier != nil {
+			if stop := shared.barrier.await(round); stop > 0 {
+				rep.Sampling.StopIndex = stop
+				break
+			}
+		}
+	}
+	return rep, nil
 }
 
 // RunCampaign executes the configured campaign and returns its report. The
@@ -1344,6 +1500,8 @@ func (r *campaignRunner) tryRunBatch(faultsets [][]inject.Fault, samples []int, 
 //     but not re-run and the Welford accumulators continue from the
 //     persisted state, so the final report is bit-identical to an
 //     uninterrupted run's.
+//   - Sharding: a shard (ShardIndex, ShardCount) runs its stride slice
+//     alone; MergeShardReports combines the K shard reports.
 func (s *Simulator) RunCampaign(ctx context.Context, cfg CampaignConfig) (*CampaignReport, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -1354,220 +1512,47 @@ func (s *Simulator) RunCampaign(ctx context.Context, cfg CampaignConfig) (*Campa
 	if !cfg.Sampling.Active() {
 		cfg.Sampling = nil
 	}
-	runner, err := s.newRunner(ctx, cfg)
-	if err != nil {
-		return nil, err
+	if cfg.Sampling != nil && cfg.Sampling.TargetCI > 0 && cfg.sharded() {
+		return nil, configErrf("Sampling",
+			"sequential stopping needs the whole campaign's moments; a shard cannot stop on its own (drop TargetCI or the shard geometry)")
 	}
-	defer runner.close()
-
-	report := &CampaignReport{Config: cfg, PerDetector: runner.detectorBaseline()}
-	sel := runner.buildSelection()
-	if sel != nil {
-		report.Sampling = sel.emptyReport()
+	rep, err := s.runShard(ctx, cfg, newShardShared(&cfg, 1), nil)
+	if err == nil {
+		publishReport(cfg.Metrics, rep)
 	}
-	skip := 0
-	if cfg.Resume != nil {
-		skip = cfg.Resume.Completed
-		report.CampaignResult = cfg.Resume.Result
-		report.Detected = cfg.Resume.Detected
-		report.Aborted = cfg.Resume.Aborted
-		report.Recovered = cfg.Resume.Recovered
-		report.PerDetector = mergeResumeDetectors(report.PerDetector, cfg.Resume.PerDetector)
-	}
-	drawer := newFaultDrawer(&cfg, runner.geom)
-	n := runner.pool.Len()
-	batch := runner.batch
-	// The injection indices this run owns and executes. Unsharded, that is
-	// every index past a resumed prefix; a shard (s, K) owns the stride
-	// slice i ≡ s (mod K) — exactly worker s's assignment under
-	// RunCampaignParallel at workers=K, so shard reports merge
-	// byte-identically to a single-node parallel run (Resume and sharding
-	// are mutually exclusive, so skip is zero here when sharded). A sampled
-	// campaign additionally drops the owned indices its selection skips or
-	// prunes.
-	owns := func(i int) bool { return !cfg.sharded() || i%cfg.ShardCount == cfg.ShardIndex }
-	mine := make([]int, 0, cfg.PlannedInjections())
-	for i := skip; i < cfg.Injections; i++ {
-		if owns(i) && sel.executed(i) {
-			mine = append(mine, i)
-		}
-	}
-	// Progress totals cover the injections this run executes plus a resumed
-	// prefix; unsharded and unsampled that is exactly cfg.Injections.
-	planned := skip + len(mine)
-	ct := newCampaignTelemetry(cfg.Metrics, planned, detect.Names(cfg.Detectors))
-	// The fault sequence is always drawn from index 0 in serial order; draws
-	// this run does not execute (a resumed prefix, other shards' indices)
-	// are consumed into a discard row so owned faults stay bit-identical to
-	// an unsharded run's. drawPos is the next sequence index to be drawn.
-	discard := make([]inject.Fault, runner.geom.flips)
-	drawPos := 0
-	advanceTo := func(i int) {
-		for ; drawPos < i; drawPos++ {
-			drawer.nextInto(discard)
-		}
-	}
-	if cfg.Progress != nil && skip > 0 {
-		cfg.Progress(skip, planned)
-	}
-	// A sampled campaign's dispatch (drawn/pruned/skipped per stratum) is a
-	// pure function of the selection, so the whole owned fault space is
-	// accounted before any forward pass. The population the estimator
-	// targets is therefore always the full fault space: at a review
-	// boundary the executed prefix is the sample, the remaining selected
-	// mass keeps the finite-population correction below one, and an early
-	// stop leaves Drawn > Pruned+Skipped+Executed+Aborted in the strata the
-	// stop cut short.
-	if sel != nil {
-		sel.account(report.Sampling, skip, cfg.Injections, owns)
-	}
-	// Sequential-stopping review windows: one window covering the whole
-	// campaign normally; a TargetCI campaign reviews its interval at every
-	// CheckEvery boundary.
-	bounds := stopBounds(cfg.Sampling, cfg.Injections)
-	mstart := 0
-	for _, bound := range bounds {
-		mend := mstart
-		for mend < len(mine) && mine[mend] < bound {
-			mend++
-		}
-		for base := mstart; base < mend; base += batch {
-			if err := ctx.Err(); err != nil {
-				report.Interrupted = true
-				return report, err
-			}
-			hi := base + batch
-			if hi > mend {
-				hi = mend
-			}
-			rows := hi - base
-			idx := runner.scratch.idx[:rows]
-			faultsets := runner.scratch.faultsets[:rows]
-			samples := runner.scratch.samples[:rows]
-			for k := 0; k < rows; k++ {
-				i := mine[base+k]
-				idx[k] = i
-				advanceTo(i)
-				faultsets[k] = runner.scratch.faultRow(k, runner.geom.flips)
-				drawer.nextInto(faultsets[k])
-				drawPos++
-				samples[k] = i % n
-			}
-			start := time.Now()
-			outs, errs := runner.runBatch(0, idx, faultsets, samples)
-			// Latency accounting stays per injection so the histogram's count
-			// matches the injection counters in both modes; a batched pass
-			// amortizes its wall time evenly over its rows.
-			per := time.Since(start) / time.Duration(rows)
-			if cfg.Progress != nil {
-				cfg.Progress(skip+hi, planned)
-			}
-			if batch > 1 {
-				ct.recordBatch(rows, batch)
-			}
-			for k := 0; k < rows; k++ {
-				if errs[k] != nil {
-					var ie *InjectionError
-					if !errors.As(errs[k], &ie) {
-						return nil, errs[k]
-					}
-					report.Aborted++
-					ct.recordAborted()
-					if sel != nil {
-						sel.observe(report.Sampling, idx[k], outs[k])
-						outs[k].Index = idx[k]
-					}
-					if cfg.KeepTrace {
-						report.Trace = append(report.Trace, traceCopy(outs[k]))
-					}
-					if cfg.MaxAborts > 0 && report.Aborted > cfg.MaxAborts {
-						return report, fmt.Errorf("goldeneye: %d aborted injections exceed MaxAborts=%d: %w",
-							report.Aborted, cfg.MaxAborts, ie)
-					}
-					continue
-				}
-				out := outs[k]
-				if sel != nil {
-					sel.observe(report.Sampling, idx[k], out)
-					out.Index = idx[k]
-				}
-				if out.Aborted {
-					// A RecoverAbort detection discarded this inference: counted
-					// in Aborted (and the detector breakdown) but excluded from
-					// the metric aggregates and the MaxAborts threshold.
-					report.Aborted++
-					report.Detected++
-					ct.recordAborted()
-					ct.recordDetections(out.DetectedBy, false)
-					report.recordDetections(out)
-					if cfg.KeepTrace {
-						report.Trace = append(report.Trace, traceCopy(out))
-					}
-					continue
-				}
-				ct.record(out.Mismatch, out.NonFinite, out.Detected, per)
-				ct.recordDetections(out.DetectedBy, out.Recovered)
-				report.Record(out.Mismatch, out.DeltaLoss, out.NonFinite)
-				if out.Detected {
-					report.Detected++
-				}
-				if out.Recovered {
-					report.Recovered++
-				}
-				report.recordDetections(out)
-				if cfg.KeepTrace {
-					report.Trace = append(report.Trace, traceCopy(out))
-				}
-			}
-		}
-		mstart = mend
-		if sel != nil && cfg.Sampling.TargetCI > 0 && bound < cfg.Injections &&
-			report.Sampling.CIHalfWidth() <= cfg.Sampling.TargetCI {
-			report.Sampling.StopIndex = bound
-			break
-		}
-	}
-	ct.publishSampling(report.Sampling)
-	ct.publishCoverage(report)
-	return report, nil
+	return rep, err
 }
 
-// RunCampaignParallel shards a campaign across worker simulators built by
-// build (each must wrap an identical, independently allocated model — e.g.
-// a fresh zoo load). The fault sequence is drawn up front from cfg.Seed, so
-// the injected faults are exactly those of the serial RunCampaign; only
-// floating-point aggregation order differs (Welford merge).
+// RunCampaignParallel runs a campaign as K = min(workers, Injections)
+// in-process stride shards (ShardConfigs), one goroutine and one simulator
+// built by build per shard (each must wrap an identical, independently
+// allocated model — e.g. a fresh zoo load), and merges the shard reports
+// with MergeShardReports — exactly what a K-node fleet does. Every shard
+// draws the campaign's fault sequence from cfg.Seed, so the injected faults
+// are exactly those of the serial RunCampaign; only floating-point
+// aggregation order differs (Welford merge in shard order). Batching
+// composes with sharding: each shard packs its stride indices into
+// cfg.BatchSize-row passes.
 //
-// Batching composes with sharding: each worker packs its stride-assigned
-// injection indices into cfg.BatchSize-row passes, so total throughput
-// scales with both levers while the merged report stays bit-identical to
-// the serial campaign's (modulo the documented Welford merge order).
+// The configuration is validated before any worker starts. workers <= 1
+// runs the campaign serially on one built simulator; a sharded cfg or a
+// Resume state requires workers <= 1 (ConfigError otherwise).
 //
-// The lifecycle semantics of RunCampaign apply per worker: cancellation
-// stops every worker at its next injection boundary and returns the merged
+// The lifecycle semantics of RunCampaign apply per shard: cancellation
+// stops every shard at its next injection boundary and returns the merged
 // partial report with ctx.Err(); a panicking injection aborts only that
-// injection (the sibling workers continue); and a worker goroutine that
+// injection (the sibling shards continue); and a worker goroutine that
 // panics outside an injection surfaces as that shard's error rather than
-// crashing the process. The MaxAborts threshold is enforced across all
-// workers combined.
+// crashing the process. The MaxAborts threshold, Progress counts and
+// TargetCI reviews span all shards combined.
 func RunCampaignParallel(ctx context.Context, cfg CampaignConfig, workers int, build func() (*Simulator, error)) (*CampaignReport, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	// Normalize an inert sampling plan away before anything else (the serial
-	// delegation below does the same), so the plan's presence cannot perturb
-	// exhaustive-campaign byte identity.
 	if !cfg.Sampling.Active() {
 		cfg.Sampling = nil
 	}
-	if workers <= 1 {
-		sim, err := build()
-		if err != nil {
-			return nil, err
-		}
-		return sim.RunCampaign(ctx, cfg)
-	}
-	if cfg.sharded() {
+	if workers > 1 && cfg.sharded() {
 		// A shard is already one stride slice of the campaign; running it
 		// across a worker pool would nest two stride assignments and break
 		// the byte-identity contract MergeShardReports depends on. The
@@ -1576,377 +1561,101 @@ func RunCampaignParallel(ctx context.Context, cfg CampaignConfig, workers int, b
 			"sharded campaigns run serially (workers=1); got workers=%d for shard %d/%d",
 			workers, cfg.ShardIndex, cfg.ShardCount)
 	}
-	if cfg.Injections < workers {
-		workers = cfg.Injections
+	if workers > 1 && cfg.Resume != nil {
+		return nil, configErrf("Resume",
+			"resumed campaigns run serially (workers=1); got workers=%d", workers)
 	}
-
-	// Draw the full fault sequence once, in serial order, so the injected
-	// faults are bit-identical to the serial campaign's.
+	shards := ShardConfigs(cfg, workers)
 	scout, err := build()
 	if err != nil {
 		return nil, err
 	}
-	g, err := scout.campaignGeometry(cfg)
-	if err != nil {
+	if len(shards) == 1 {
+		return scout.RunCampaign(ctx, cfg)
+	}
+	// Validate on the scout before starting any worker; the scout then
+	// serves as shard 0's simulator.
+	if _, err := scout.campaignGeometry(cfg); err != nil {
 		return nil, err
 	}
-	drawer := newFaultDrawer(&cfg, g)
-	allFaults := make([][]inject.Fault, cfg.Injections)
-	for i := range allFaults {
-		allFaults[i] = drawer.next()
-	}
-	skip := 0
-	if cfg.Resume != nil {
-		skip = cfg.Resume.Completed
-	}
 
-	// A sampled campaign computes its selection once, up front, on a runner
-	// built from the scout (the selection needs the ranger bounds the prune
-	// mask derives from). Worker 0 adopts that runner instead of building
-	// its own — the setup work (weight quantization, calibration, clean
-	// references) is deterministic, so the adoption changes nothing but
-	// avoids repeating it.
-	var scoutRunner *campaignRunner
-	var sel *campaignSelection
-	if cfg.Sampling != nil {
-		scoutRunner, err = scout.newRunner(ctx, cfg)
-		if err != nil {
-			return nil, err
-		}
-		sel = scoutRunner.buildSelection()
-	}
-	progressTotal := cfg.Injections
-	if sel != nil {
-		progressTotal = sel.executedCount()
-	}
-
-	// Progress aggregates across workers through one shared counter; the
-	// callback sees a monotonic cumulative count, never per-shard values.
-	var progressDone atomic.Int64
-	progressDone.Store(int64(skip))
-	reportProgress := func(executed int) {
-		if cfg.Progress == nil {
-			return
-		}
-		cfg.Progress(int(progressDone.Add(int64(executed))), progressTotal)
-	}
-	if cfg.Progress != nil && skip > 0 {
-		cfg.Progress(skip, progressTotal)
-	}
-
-	// A worker hitting a fatal error (abort threshold, failed build) stops
-	// its siblings at their next injection boundary instead of letting
-	// them run the campaign to completion for a result that is discarded.
+	k := len(shards)
+	shared := newShardShared(&cfg, k)
+	// A shard hitting a fatal error (abort threshold, failed build) stops
+	// its siblings at their next injection boundary instead of letting them
+	// run the campaign to completion for a result that is discarded.
 	wctx, stopWorkers := context.WithCancel(ctx)
 	defer stopWorkers()
-
-	type shard struct {
-		report      *CampaignReport
-		err         error
-		interrupted bool
-
-		// fp is the worker's fault-free false-positive baseline. Every
-		// worker measures the identical (deterministic) sweep, so the merge
-		// takes it from one shard only.
-		fp map[string]metrics.DetectorStats
-	}
-	n := g.pool.Len()
-	ct := newCampaignTelemetry(cfg.Metrics, progressTotal, detect.Names(cfg.Detectors))
-	shards := make([]shard, workers)
-	// Sequential stopping runs the workers in lockstep review rounds: after
-	// each round's window, the last worker to arrive merges every worker's
-	// estimator state (safe: the others are parked on the barrier, and a
-	// departed worker published its report before leaving) and decides
-	// whether the campaign stops at that boundary.
-	bounds := stopBounds(cfg.Sampling, cfg.Injections)
-	var barrier *ciBarrier
-	if sel != nil && cfg.Sampling.TargetCI > 0 {
-		barrier = newCIBarrier(workers, func(round int) int {
-			bound := bounds[round]
-			if bound >= cfg.Injections {
-				return 0 // final boundary: nothing left to stop early
-			}
-			reviewed := sel.emptyReport()
-			for i := range shards {
-				if shards[i].report != nil && shards[i].report.Sampling != nil {
-					// Same strata by construction; Merge cannot fail.
-					_ = reviewed.Merge(shards[i].report.Sampling)
-				}
-			}
-			if reviewed.CIHalfWidth() <= cfg.Sampling.TargetCI {
-				return bound
-			}
-			return 0
-		})
-	}
-	var aborted atomic.Int64
-	if cfg.Resume != nil {
-		// Prior aborts count toward the shared threshold.
-		aborted.Store(int64(cfg.Resume.Aborted))
-	}
+	reports := make([]*CampaignReport, k)
+	errs := make([]error, k)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for s := range shards {
 		wg.Add(1)
-		go func(w int) {
+		go func(s int) {
 			defer wg.Done()
 			// Last line of defense: a panic outside the per-injection
-			// isolation (runner setup, telemetry) becomes the shard's
-			// error instead of crashing the whole process.
+			// isolation (runner setup, telemetry) becomes the shard's error
+			// instead of crashing the whole process.
 			defer func() {
 				if p := recover(); p != nil {
-					shards[w].err = fmt.Errorf("worker panicked outside an injection: %v", p)
+					errs[s] = fmt.Errorf("worker panicked outside an injection: %v", p)
 					stopWorkers()
 				}
 			}()
-			// Exactly once per worker, on every exit path — error, abort
-			// threshold, cancellation, normal completion — so workers parked
+			// Exactly once per shard, on every exit path, so shards parked
 			// on a review round never wait for a departed sibling.
-			if barrier != nil {
-				defer barrier.leave()
+			if shared.barrier != nil {
+				defer shared.barrier.leave()
 			}
+			var work *telemetry.Counter
 			if cfg.Metrics != nil {
-				// Per-worker shard wall time, for spotting stragglers in
-				// the metrics dump.
-				shardGauge := cfg.Metrics.Gauge(telemetry.Label(MetricCampaignShardTime, "worker", strconv.Itoa(w)))
+				// Per-worker shard wall time and recorded injections, for
+				// spotting stragglers in the metrics dump.
+				worker := strconv.Itoa(s)
+				shardGauge := cfg.Metrics.Gauge(telemetry.Label(MetricCampaignShardTime, "worker", worker))
 				defer func(start time.Time) { shardGauge.Set(time.Since(start).Seconds()) }(time.Now())
+				work = cfg.Metrics.Counter(telemetry.Label(MetricCampaignShardWork, "worker", worker))
 			}
 			sim := scout
-			if w > 0 { // reuse the scout for worker 0
+			if s > 0 {
 				var berr error
-				sim, berr = build()
-				if berr != nil {
-					shards[w].err = berr
+				if sim, berr = build(); berr != nil {
+					errs[s] = berr
 					stopWorkers()
 					return
 				}
 			}
-			// Worker 0 adopts the pre-built scout runner of a sampled
-			// campaign (see above); every other worker prepares its own.
-			runner := scoutRunner
-			if w != 0 || runner == nil {
-				var rerr error
-				runner, rerr = sim.newRunner(wctx, cfg)
-				if rerr != nil {
-					if wctx.Err() != nil && errors.Is(rerr, wctx.Err()) {
-						shards[w].interrupted = true
-						shards[w].report = &CampaignReport{}
-						return
-					}
-					shards[w].err = rerr
-					stopWorkers()
-					return
+			rep, err := sim.runShard(wctx, shards[s], shared, work)
+			if err != nil && wctx.Err() != nil && errors.Is(err, wctx.Err()) {
+				// Cancelled, by the caller or a failing sibling: keep the
+				// partial shard, even an empty one cut short during setup.
+				if rep == nil {
+					rep = &CampaignReport{Config: shards[s]}
 				}
+				rep.Interrupted, err = true, nil
 			}
-			defer runner.close()
-			shards[w].fp = runner.detectorBaseline()
-			var shardWork *telemetry.Counter
-			if cfg.Metrics != nil {
-				shardWork = cfg.Metrics.Counter(telemetry.Label(MetricCampaignShardWork, "worker", strconv.Itoa(w)))
+			reports[s], errs[s] = rep, err
+			if err != nil {
+				stopWorkers()
 			}
-			rep := &CampaignReport{}
-			if sel != nil {
-				rep.Sampling = sel.emptyReport()
-			}
-			// Published before the loop so the stopping barrier's check can
-			// read this worker's estimator state; the barrier's mutex orders
-			// those reads against the writes below.
-			shards[w].report = rep
-			// The worker's stride-assigned injection indices — minus, for a
-			// sampled campaign, the ones the selection skips or prunes —
-			// batched into groups of the campaign's pack size. Grouping
-			// non-contiguous indices is fine: each row is an independent
-			// (fault, sample) pair, and trace order within the shard stays
-			// the stride order the merge below expects.
-			var mine []int
-			for i := w; i < cfg.Injections; i += workers {
-				if i >= skip && sel.executed(i) {
-					mine = append(mine, i)
-				}
-			}
-			// The worker's whole stride slice is accounted up front (dispatch
-			// is analytic); the estimator's population is the full fault
-			// space even when a review boundary stops execution early.
-			if sel != nil {
-				sel.account(rep.Sampling, skip, cfg.Injections,
-					func(i int) bool { return i%workers == w })
-			}
-			batch := runner.batch
-			mstart := 0
-		rounds:
-			for round, bound := range bounds {
-				mend := mstart
-				for mend < len(mine) && mine[mend] < bound {
-					mend++
-				}
-				for base := mstart; base < mend; base += batch {
-					if wctx.Err() != nil {
-						shards[w].interrupted = true
-						break rounds
-					}
-					hi := base + batch
-					if hi > mend {
-						hi = mend
-					}
-					idx := mine[base:hi]
-					faultsets := runner.scratch.faultsets[:len(idx)]
-					samples := runner.scratch.samples[:len(idx)]
-					for k, i := range idx {
-						faultsets[k] = allFaults[i]
-						samples[k] = i % n
-					}
-					start := time.Now()
-					outs, errsB := runner.runBatch(w, idx, faultsets, samples)
-					per := time.Since(start) / time.Duration(len(idx))
-					reportProgress(len(idx))
-					if batch > 1 {
-						ct.recordBatch(len(idx), batch)
-					}
-					for k := range idx {
-						if errsB[k] != nil {
-							var ie *InjectionError
-							if !errors.As(errsB[k], &ie) {
-								shards[w].err = errsB[k]
-								stopWorkers()
-								return
-							}
-							total := aborted.Add(1)
-							ct.recordAborted()
-							rep.Aborted++
-							if sel != nil {
-								sel.observe(rep.Sampling, idx[k], outs[k])
-								outs[k].Index = idx[k]
-							}
-							if cfg.KeepTrace {
-								rep.Trace = append(rep.Trace, traceCopy(outs[k]))
-							}
-							if cfg.MaxAborts > 0 && total > int64(cfg.MaxAborts) {
-								shards[w].report = rep
-								shards[w].err = fmt.Errorf("%d aborted injections exceed MaxAborts=%d: %w",
-									total, cfg.MaxAborts, ie)
-								stopWorkers()
-								return
-							}
-							continue
-						}
-						out := outs[k]
-						if sel != nil {
-							sel.observe(rep.Sampling, idx[k], out)
-							out.Index = idx[k]
-						}
-						if out.Aborted {
-							// RecoverAbort discard: counted in Aborted and the
-							// detector breakdown, excluded from aggregates and
-							// the shared MaxAborts threshold.
-							rep.Aborted++
-							rep.Detected++
-							ct.recordAborted()
-							ct.recordDetections(out.DetectedBy, false)
-							rep.recordDetections(out)
-							if cfg.KeepTrace {
-								rep.Trace = append(rep.Trace, traceCopy(out))
-							}
-							continue
-						}
-						ct.record(out.Mismatch, out.NonFinite, out.Detected, per)
-						ct.recordDetections(out.DetectedBy, out.Recovered)
-						if shardWork != nil {
-							shardWork.Inc()
-						}
-						rep.Record(out.Mismatch, out.DeltaLoss, out.NonFinite)
-						if out.Detected {
-							rep.Detected++
-						}
-						if out.Recovered {
-							rep.Recovered++
-						}
-						rep.recordDetections(out)
-						if cfg.KeepTrace {
-							rep.Trace = append(rep.Trace, traceCopy(out))
-						}
-					}
-				}
-				mstart = mend
-				if barrier != nil && barrier.await(round) > 0 {
-					break
-				}
-			}
-		}(w)
+		}(s)
 	}
 	wg.Wait()
 
 	// Fatal shard errors take precedence over partial results.
-	for w, sh := range shards {
-		if sh.err != nil {
-			// Wrap with the shard index so a failed campaign is
-			// diagnosable from the progress output (which shard stalled,
-			// which worker's build failed).
-			return nil, fmt.Errorf("goldeneye: campaign worker %d/%d: %w", w, workers, sh.err)
+	for s, err := range errs {
+		if err != nil {
+			// Wrap with the shard index so a failed campaign is diagnosable
+			// from the progress output (which shard stalled, which worker's
+			// build failed).
+			return nil, fmt.Errorf("goldeneye: campaign worker %d/%d: %w", s, k, err)
 		}
 	}
-	merged := &CampaignReport{Config: cfg}
-	// The false-positive baseline is deterministic and identical across
-	// workers, so it merges from one shard only; per-shard detections and
-	// recoveries sum on top of it.
-	for _, sh := range shards {
-		if sh.fp != nil {
-			merged.PerDetector = sh.fp
-			break
-		}
+	merged, err := MergeShardReports(reports)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.Resume != nil {
-		merged.CampaignResult = cfg.Resume.Result
-		merged.Detected = cfg.Resume.Detected
-		merged.Aborted = cfg.Resume.Aborted
-		merged.Recovered = cfg.Resume.Recovered
-		merged.PerDetector = mergeResumeDetectors(merged.PerDetector, cfg.Resume.PerDetector)
-	}
-	if cfg.KeepTrace && sel == nil {
-		merged.Trace = make([]InjectionOutcome, cfg.Injections)
-	}
-	if sel != nil {
-		merged.Sampling = sel.emptyReport()
-	}
-	for w, sh := range shards {
-		merged.Interrupted = merged.Interrupted || sh.interrupted
-		merged.CampaignResult.Merge(sh.report.CampaignResult)
-		merged.Detected += sh.report.Detected
-		merged.Aborted += sh.report.Aborted
-		merged.Recovered += sh.report.Recovered
-		merged.PerDetector = mergeResumeDetectors(merged.PerDetector, sh.report.PerDetector)
-		if sh.report.Sampling != nil {
-			// Worker-index order — the same Welford merge order the campaign
-			// aggregates use. Same strata by construction; Merge cannot fail.
-			_ = merged.Sampling.Merge(sh.report.Sampling)
-		}
-		if cfg.KeepTrace && sel == nil {
-			for k, out := range sh.report.Trace {
-				merged.Trace[w+k*workers] = out
-			}
-		}
-	}
-	if barrier != nil {
-		merged.Sampling.StopIndex = barrier.stopIndex()
-	}
-	if cfg.KeepTrace && sel != nil {
-		// A sampled worker's trace holds only its executed indices, so the
-		// dense stride interleave above does not apply: reassemble in
-		// ascending global-index order with one cursor per worker — exactly
-		// the order the serial sampled path records (entries can be missing
-		// when the campaign stopped early or was interrupted).
-		cursors := make([]int, workers)
-		for i := 0; i < cfg.Injections; i++ {
-			if !sel.executed(i) {
-				continue
-			}
-			sh := shards[i%workers].report
-			if c := cursors[i%workers]; c < len(sh.Trace) {
-				merged.Trace = append(merged.Trace, sh.Trace[c])
-				cursors[i%workers]++
-			}
-		}
-	}
-	ct.publishSampling(merged.Sampling)
-	ct.publishCoverage(merged)
+	publishReport(cfg.Metrics, merged)
 	if merged.Interrupted {
 		return merged, ctx.Err()
 	}

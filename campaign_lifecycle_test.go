@@ -11,11 +11,13 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
 	"goldeneye"
 	"goldeneye/internal/numfmt"
+	"goldeneye/internal/sampling"
 	"goldeneye/internal/telemetry"
 )
 
@@ -151,6 +153,17 @@ func TestCampaignMaxAbortsFailsCampaign(t *testing.T) {
 	if err == nil || !errors.As(err, &ie) {
 		t.Fatalf("parallel campaign should fail with *InjectionError, got %v", err)
 	}
+
+	// A standalone shard (a fleet node's) names its own shard index.
+	shard := goldeneye.ShardConfigs(cfg, 3)[2]
+	shard.Format = &panicEveryN{Format: numfmt.FP16(true), n: 2, calls: new(atomic.Int64)}
+	_, err = sim.RunCampaign(context.Background(), shard)
+	if !errors.As(err, &ie) {
+		t.Fatalf("sharded campaign should fail with *InjectionError, got %v", err)
+	}
+	if ie.Shard != shard.ShardIndex || ie.Injection%shard.ShardCount != shard.ShardIndex {
+		t.Fatalf("InjectionError %+v does not belong to shard %d/%d", ie, shard.ShardIndex, shard.ShardCount)
+	}
 }
 
 func TestCampaignCancelReturnsPartialPrefix(t *testing.T) {
@@ -213,6 +226,61 @@ func TestCampaignCancelParallelWorkers(t *testing.T) {
 	// in-flight injections complete before every worker stops.
 	if rep.Injections < 10 || rep.Injections > 13 {
 		t.Fatalf("partial parallel report covers %d injections, want 10..13", rep.Injections)
+	}
+}
+
+// TestCampaignCancelParallelDuringSetup cancels a parallel campaign while
+// one shard is still setting up and the other is already injecting. The
+// shard cut short in setup carries no estimator state and no detector
+// baseline, unlike its sibling; the merge must still yield an Interrupted
+// partial report, never a *ShardMergeError.
+func TestCampaignCancelParallelDuringSetup(t *testing.T) {
+	_, pool := loadSim(t, "mlp")
+	x, y := pool.subset(8)
+	sim, err := mlpBuilder(t)()
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs, err := goldeneye.ParseDetectors("sentinel")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cfg := lifecycleConfig(sim, x, y, 40)
+	cfg.Detectors = specs
+	cfg.Sampling = &sampling.Plan{Fraction: 0.5}
+	// Shard 1's build waits until shard 0 has injected and the campaign is
+	// cancelled, so shard 1 enters its setup with the context already done.
+	gate := make(chan struct{})
+	var once sync.Once
+	cfg.Progress = func(done, total int) {
+		once.Do(func() {
+			cancel()
+			close(gate)
+		})
+	}
+	var builds atomic.Int64
+	build := func() (*goldeneye.Simulator, error) {
+		if builds.Add(1) > 1 {
+			<-gate
+		}
+		return mlpBuilder(t)()
+	}
+
+	rep, err := goldeneye.RunCampaignParallel(ctx, cfg, 2, build)
+	var me *goldeneye.ShardMergeError
+	if errors.As(err, &me) {
+		t.Fatalf("a shard cancelled during setup broke the merge: %v", err)
+	}
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("want context.Canceled, got %v", err)
+	}
+	if rep == nil || !rep.Interrupted {
+		t.Fatalf("want an Interrupted partial report, got %+v", rep)
+	}
+	if rep.Sampling == nil || rep.PerDetector == nil {
+		t.Fatalf("partial report lost the injecting shard's estimator or detector state: %+v", rep)
 	}
 }
 
@@ -290,6 +358,15 @@ func TestCampaignResumeValidation(t *testing.T) {
 	cfg.Resume = &goldeneye.CampaignResume{Completed: 5}
 	if _, err := sim.RunCampaign(context.Background(), cfg); err == nil {
 		t.Fatal("resume with KeepTrace must be rejected")
+	}
+
+	// A resume runs serially: the worker pool rejects it up front.
+	cfg = lifecycleConfig(sim, x, y, 10)
+	cfg.Resume = &goldeneye.CampaignResume{Completed: 5}
+	_, err := goldeneye.RunCampaignParallel(context.Background(), cfg, 2, mlpBuilder(t))
+	var ce *goldeneye.ConfigError
+	if !errors.As(err, &ce) || ce.Field != "Resume" {
+		t.Fatalf("parallel resume: want *ConfigError on Resume, got %v", err)
 	}
 }
 

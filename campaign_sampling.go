@@ -88,11 +88,6 @@ func (sel *campaignSelection) executedCount() int {
 	return n
 }
 
-// emptyReport returns a zeroed estimator report over the selection's strata.
-func (sel *campaignSelection) emptyReport() *sampling.Report {
-	return sel.space.NewReport()
-}
-
 // account folds the dispatch of the owned indices in [lo, hi) into rep:
 // Drawn for every owned index, plus Pruned/Skipped for the ones that never
 // execute. Executed/Aborted arrive later through observe, so a fully
@@ -149,12 +144,13 @@ func stopBounds(plan *sampling.Plan, injections int) []int {
 	return append(bounds, injections)
 }
 
-// ciBarrier synchronizes a parallel campaign's sequential-stopping reviews:
-// workers run their review windows in lockstep, and the last worker to
-// finish each round runs the stopping check over every worker's estimator
-// state while the others are parked. Workers that exit early — error,
+// ciBarrier runs a TargetCI campaign's sequential-stopping reviews. Its
+// members — the campaign's in-process shards, or the single standalone run —
+// execute their review windows in lockstep, and the last member to finish
+// each round reviews the interval of every member's merged estimator state
+// while the others are parked. Members that exit early — error,
 // cancellation, abort threshold — must call leave exactly once so the
-// remaining workers' rounds still complete.
+// remaining members' rounds still complete.
 type ciBarrier struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -162,19 +158,32 @@ type ciBarrier struct {
 	arrived int
 	round   int
 	stopAt  int
-	check   func(round int) int
+	bounds  []int
+	target  float64
+
+	// reports holds each member's live estimator by shard index. A member
+	// writes its report only while running a window, so the review — run
+	// under mu once every live member has arrived or left — reads settled
+	// state.
+	reports []*sampling.Report
 }
 
-// newCIBarrier builds a barrier over members workers. check runs once per
-// round with every member's window finished and returns the boundary to stop
-// at (0 = continue); its result is sticky.
-func newCIBarrier(members int, check func(round int) int) *ciBarrier {
-	b := &ciBarrier{members: members, check: check}
+// newCIBarrier builds a barrier over members shards reviewing at bounds
+// (stopBounds) against the CI half-width target.
+func newCIBarrier(members int, bounds []int, target float64) *ciBarrier {
+	b := &ciBarrier{members: members, bounds: bounds, target: target, reports: make([]*sampling.Report, members)}
 	b.cond = sync.NewCond(&b.mu)
 	return b
 }
 
-// await blocks until every live worker has finished round r and returns the
+// publish registers shard's live estimator state for the reviews.
+func (b *ciBarrier) publish(shard int, rep *sampling.Report) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.reports[shard] = rep
+}
+
+// await blocks until every live member has finished round r and returns the
 // (possibly newly decided) stop boundary, 0 meaning keep going.
 func (b *ciBarrier) await(r int) int {
 	b.mu.Lock()
@@ -193,15 +202,39 @@ func (b *ciBarrier) await(r int) int {
 	return b.stopAt
 }
 
-// finishRound runs the stopping check and releases the round. Caller holds mu.
+// finishRound reviews the finished round and releases it. Caller holds mu.
 func (b *ciBarrier) finishRound() {
-	b.stopAt = b.check(b.round)
+	b.stopAt = b.review()
 	b.arrived = 0
 	b.round++
 	b.cond.Broadcast()
 }
 
-// leave removes one worker from the barrier. If the remaining workers were
+// review merges the members' estimators in shard order — the order
+// MergeShardReports uses — and returns the round's boundary if the merged
+// interval meets the target, else 0. The final boundary never stops: there
+// is nothing left to cut short.
+func (b *ciBarrier) review() int {
+	bound := b.bounds[b.round]
+	if bound >= b.bounds[len(b.bounds)-1] {
+		return 0
+	}
+	var merged *sampling.Report
+	for _, rep := range b.reports {
+		if merged == nil {
+			merged = rep.Clone()
+			continue
+		}
+		// Same strata by construction; Merge cannot fail.
+		_ = merged.Merge(rep)
+	}
+	if merged != nil && merged.CIHalfWidth() <= b.target {
+		return bound
+	}
+	return 0
+}
+
+// leave removes one member from the barrier. If the remaining members were
 // all waiting on the departing one, the round completes without it.
 func (b *ciBarrier) leave() {
 	b.mu.Lock()
@@ -211,14 +244,6 @@ func (b *ciBarrier) leave() {
 		b.finishRound()
 	}
 	b.cond.Broadcast()
-}
-
-// stopIndex returns the decided stop boundary (0 when the campaign ran its
-// full selection).
-func (b *ciBarrier) stopIndex() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.stopAt
 }
 
 // ParseSamplingPlan assembles and validates a sampling plan from CLI-style

@@ -226,7 +226,14 @@ func TestJournalReplay(t *testing.T) {
 			<-release
 		}
 	}
-	defer close(release)
+	// The abandoned server's worker must not outlive the test: release it
+	// and let it drain before the temp dirs are removed.
+	t.Cleanup(func() {
+		close(release)
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		s1.Shutdown(ctx)
+	})
 	specA := testSpec(t)
 	specA.Campaign.Seed = 2
 	_, stA := submit(t, ts1, specA)
@@ -364,7 +371,14 @@ func TestCancelRaces(t *testing.T) {
 				<-release
 			}
 		}
-		defer close(release)
+		// The abandoned server's worker must not outlive the test: release
+		// it and let it drain before the temp dir is removed.
+		t.Cleanup(func() {
+			close(release)
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			s1.Shutdown(ctx)
+		})
 		_, st := submit(t, ts1, testSpec(t))
 		<-started
 		ts1.Close()

@@ -452,13 +452,15 @@ func (s *Server) runJob(j *job) {
 	s.inflight.Add(-1)
 	switch {
 	case err == nil:
-		s.finishJob(j, JobDone, rep, nil)
+		// Cache first, then publish Done: a client that resubmits the
+		// moment it sees Done must hit the cache, not re-run the campaign.
 		s.mu.Lock()
 		perr := s.cache.put(j.key, j.hash, rep)
 		s.mu.Unlock()
 		if perr != nil {
 			s.cacheErrors.Inc()
 		}
+		s.finishJob(j, JobDone, rep, nil)
 	case j.ctx.Err() != nil:
 		s.finishJob(j, JobCancelled, rep, err)
 	case ctx.Err() != nil && rep != nil:

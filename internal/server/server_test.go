@@ -224,6 +224,37 @@ func TestResultCacheHit(t *testing.T) {
 	}
 }
 
+// TestResubmitAfterDoneHitsCache pins the completion order of a job: its
+// result is cached before it is published Done, so a client resubmitting
+// the moment it sees Done is served from the cache every time and the
+// campaign executes once. The journal gives the terminal transition real
+// I/O to do, which is the window a cache write ordered after it leaves
+// open.
+func TestResubmitAfterDoneHitsCache(t *testing.T) {
+	var executions atomic.Int64
+	s, ts := newTestServer(t, Options{JournalDir: t.TempDir()})
+	s.beforeRun = func(*job) { executions.Add(1) }
+
+	_, st := submit(t, ts, testSpec(t))
+	s.mu.Lock()
+	j := s.jobs[st.ID]
+	s.mu.Unlock()
+	<-j.finished
+	const resubmits = 5
+	for i := 0; i < resubmits; i++ {
+		resp, again := submit(t, ts, testSpec(t))
+		if resp.StatusCode != http.StatusOK || again.State != JobDone || !again.Cached {
+			t.Fatalf("resubmission %d missed the cache: HTTP %d, %+v", i, resp.StatusCode, again)
+		}
+	}
+	if got := executions.Load(); got != 1 {
+		t.Errorf("campaign executed %d times, want 1", got)
+	}
+	if hits := s.reg.Counter(MetricCacheHits).Value(); hits != resubmits {
+		t.Errorf("cache hits counter: got %d, want %d", hits, resubmits)
+	}
+}
+
 // TestQueueBackpressure fills the queue behind a deliberately held worker
 // and checks the overflow submission bounces with 429 + Retry-After.
 func TestQueueBackpressure(t *testing.T) {

@@ -7,7 +7,6 @@ import (
 	"goldeneye/internal/dse"
 	"goldeneye/internal/nn"
 	"goldeneye/internal/numfmt"
-	"goldeneye/internal/sampling"
 	"goldeneye/internal/telemetry"
 	"goldeneye/internal/tensor"
 )
@@ -104,6 +103,8 @@ func layerTimingHooks(reg *telemetry.Registry) *nn.HookSet {
 
 // campaignTelemetry bundles the campaign-level instruments. A nil
 // *campaignTelemetry is inert, so campaign code records unconditionally.
+// Each shard of a parallel campaign holds its own; the registry's
+// instruments behind them are shared and atomic.
 type campaignTelemetry struct {
 	injections *telemetry.Counter
 	mismatches *telemetry.Counter
@@ -117,12 +118,9 @@ type campaignTelemetry struct {
 	start      time.Time
 
 	// Detection-pipeline instruments. detections is keyed by detector name
-	// and pre-built from the campaign config (never mutated afterwards), so
-	// parallel workers share it without locking; the counters themselves
-	// are atomic.
+	// and pre-built from the campaign config.
 	recoveries *telemetry.Counter
 	detections map[string]*telemetry.Counter
-	reg        *telemetry.Registry
 }
 
 // newCampaignTelemetry fetches the campaign instruments from reg (nil reg
@@ -145,7 +143,6 @@ func newCampaignTelemetry(reg *telemetry.Registry, planned int, detectors []stri
 		occupancy:  reg.Histogram(MetricCampaignOccupancy, occupancyBuckets),
 		rate:       reg.Gauge(MetricCampaignRate),
 		start:      time.Now(),
-		reg:        reg,
 	}
 	if len(detectors) > 0 {
 		ct.recoveries = reg.Counter(MetricCampaignRecoveries)
@@ -216,35 +213,32 @@ func (ct *campaignTelemetry) recordDetections(detectedBy []string, recovered boo
 	}
 }
 
-// publishSampling exposes a sampled campaign's estimator accounting at
-// campaign end: the covered fault space, how it was dispatched, the 95% CI
-// half-width of the SDC-rate estimate (only while finite — a Prometheus
-// exposition must not carry +Inf), and the early-stop boundary if sequential
-// stopping fired.
-func (ct *campaignTelemetry) publishSampling(rep *sampling.Report) {
-	if ct == nil || ct.reg == nil || rep == nil {
-		return
-	}
-	ct.reg.Counter(MetricSamplingFaultSpace).Add(int64(rep.FaultSpace()))
-	ct.reg.Counter(MetricSamplingExecuted).Add(int64(rep.ExecutedTotal()))
-	ct.reg.Counter(MetricSamplingPruned).Add(int64(rep.PrunedTotal()))
-	ct.reg.Counter(MetricSamplingSkipped).Add(int64(rep.SkippedTotal()))
-	if hw := rep.CIHalfWidth(); !math.IsInf(hw, 0) && !math.IsNaN(hw) {
-		ct.reg.Gauge(MetricSamplingCIWidth).Set(hw)
-	}
-	if rep.StopIndex > 0 {
-		ct.reg.Gauge(MetricSamplingStopIndex).Set(float64(rep.StopIndex))
-	}
-}
-
-// publishCoverage exposes per-detector coverage gauges (detections over
-// executed injections) at campaign end.
-func (ct *campaignTelemetry) publishCoverage(rep *CampaignReport) {
-	if ct == nil || ct.reg == nil || len(rep.PerDetector) == 0 {
+// publishReport exposes a finished campaign's end-of-run gauges on reg (nil
+// reg: no-op): per-detector coverage (detections over executed injections)
+// and, for a sampled campaign, the estimator accounting — the covered fault
+// space, how it was dispatched, the 95% CI half-width of the SDC-rate
+// estimate (only while finite — a Prometheus exposition must not carry
+// +Inf), and the early-stop boundary if sequential stopping fired.
+func publishReport(reg *telemetry.Registry, rep *CampaignReport) {
+	if reg == nil {
 		return
 	}
 	for name, st := range rep.PerDetector {
-		ct.reg.Gauge(telemetry.Label(MetricCampaignCoverage, "detector", name)).
+		reg.Gauge(telemetry.Label(MetricCampaignCoverage, "detector", name)).
 			Set(st.Coverage(rep.Injections + rep.Aborted))
+	}
+	sr := rep.Sampling
+	if sr == nil {
+		return
+	}
+	reg.Counter(MetricSamplingFaultSpace).Add(int64(sr.FaultSpace()))
+	reg.Counter(MetricSamplingExecuted).Add(int64(sr.ExecutedTotal()))
+	reg.Counter(MetricSamplingPruned).Add(int64(sr.PrunedTotal()))
+	reg.Counter(MetricSamplingSkipped).Add(int64(sr.SkippedTotal()))
+	if hw := sr.CIHalfWidth(); !math.IsInf(hw, 0) && !math.IsNaN(hw) {
+		reg.Gauge(MetricSamplingCIWidth).Set(hw)
+	}
+	if sr.StopIndex > 0 {
+		reg.Gauge(MetricSamplingStopIndex).Set(float64(sr.StopIndex))
 	}
 }

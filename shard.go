@@ -4,15 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"sort"
-
-	"goldeneye/internal/metrics"
-	"goldeneye/internal/sampling"
 )
 
 // ShardConfigs splits one campaign into k deterministic stride shards:
-// shard s executes the injection indices i ≡ s (mod k) serially, exactly
-// the assignment RunCampaignParallel gives worker s of k. k is clamped to
+// shard s executes the injection indices i ≡ s (mod k) serially. These are
+// the shards RunCampaignParallel runs in-process at workers=k. k is clamped to
 // cfg.Injections (empty shards are invalid) and to at least 1. With k == 1
 // the single returned config is unsharded — byte-identical on the wire to
 // the original — so a one-node "fleet" degenerates to a plain remote job.
@@ -70,20 +68,22 @@ func shardlessConfigJSON(cfg CampaignConfig) []byte {
 }
 
 // MergeShardReports merges the K reports of a campaign's stride shards
-// (ShardConfigs order, given in any permutation) into one CampaignReport
-// that is byte-identical — wire encoding included — to the report a single
-// node produces for the whole campaign with RunCampaignParallel at
-// workers=K. Identical, that is, in every aggregate: the Welford ΔLoss
-// moments merge in shard-index order exactly as the parallel merge does,
-// detector breakdowns take the (deterministic, shard-invariant)
-// false-positive baseline from shard 0 and sum detections across shards,
-// and KeepTrace traces interleave back into injection order.
+// (ShardConfigs order, given in any permutation) into one CampaignReport.
+// It is the only merge: RunCampaignParallel at workers=K merges its K
+// in-process shards with it, so K shards run anywhere — serially, on fleet
+// nodes — merge byte-identically, wire encoding included, to that run. The
+// Welford ΔLoss moments merge in shard-index order, detector breakdowns
+// take the (deterministic, shard-invariant) false-positive baseline from
+// one shard and sum detections across shards, and KeepTrace traces
+// interleave back into injection order.
 //
 // The set must contain exactly one report per shard index 0..K-1, all
 // agreeing on ShardCount and on the underlying campaign configuration; a
 // violated invariant returns a typed *ShardMergeError. An Interrupted
 // shard marks the merged report Interrupted (the fleet coordinator treats
-// such shards as failed and re-dispatches them instead of merging).
+// such shards as failed and re-dispatches them instead of merging); only
+// an Interrupted shard may be empty, as when a cancellation cut it short
+// during setup.
 //
 // A single unsharded report passes through unchanged, so callers can feed
 // the degenerate one-shard case without special-casing.
@@ -140,29 +140,27 @@ func MergeShardReports(reports []*CampaignReport) (*CampaignReport, error) {
 	cfg.ShardIndex, cfg.ShardCount = 0, 0
 	merged := &CampaignReport{Config: cfg}
 
-	// Mirror the RunCampaignParallel merge exactly. The false-positive
-	// baseline is deterministic and identical across shards, so it comes
-	// from shard 0's map wholesale; the remaining shards contribute only
-	// their detection and recovery counts on top of it.
-	if shards[0].PerDetector != nil {
-		merged.PerDetector = make(map[string]metrics.DetectorStats, len(shards[0].PerDetector))
-		for name, d := range shards[0].PerDetector {
-			merged.PerDetector[name] = d
+	// The false-positive baseline is deterministic and identical across
+	// shards, so it comes wholesale from the first shard that measured it
+	// (shard 0 unless cancelled during setup); every other shard adds only
+	// its detection and recovery counts.
+	base := -1
+	for s, sh := range shards {
+		if sh.PerDetector != nil {
+			base = s
+			merged.PerDetector = maps.Clone(sh.PerDetector)
+			break
 		}
 	}
-	sampled := shards[0].Sampling != nil
+	// A sampled campaign's shards all carry estimator state over the same
+	// strata. Folding them in shard order into a copy of the first one's
+	// is the Welford merge order the campaign aggregates use.
+	sampled := false
+	for _, sh := range shards {
+		sampled = sampled || sh.Sampling != nil
+	}
 	if cfg.KeepTrace && !sampled {
 		merged.Trace = make([]InjectionOutcome, cfg.Injections)
-	}
-	if sampled {
-		// Start from a zeroed report over shard 0's strata and fold every
-		// shard in (shard 0 included) — the exact construction and Welford
-		// merge order RunCampaignParallel uses at workers=K, so the merged
-		// moments are bit-identical.
-		merged.Sampling = &sampling.Report{Strata: make([]sampling.Stratum, len(shards[0].Sampling.Strata))}
-		for i := range merged.Sampling.Strata {
-			merged.Sampling.Strata[i].Name = shards[0].Sampling.Strata[i].Name
-		}
 	}
 	for s, sh := range shards {
 		merged.Interrupted = merged.Interrupted || sh.Interrupted
@@ -170,18 +168,18 @@ func MergeShardReports(reports []*CampaignReport) (*CampaignReport, error) {
 		merged.Detected += sh.Detected
 		merged.Aborted += sh.Aborted
 		merged.Recovered += sh.Recovered
-		if s > 0 {
+		if s != base {
 			merged.PerDetector = mergeResumeDetectors(merged.PerDetector, sh.PerDetector)
 		}
-		if sampled {
-			if sh.Sampling == nil {
-				return nil, shardMergeErrf("shard %d carries no estimator state but shard 0 does", s)
-			}
+		switch {
+		case sh.Sampling != nil && merged.Sampling == nil:
+			merged.Sampling = sh.Sampling.Clone()
+		case sh.Sampling != nil:
 			if err := merged.Sampling.Merge(sh.Sampling); err != nil {
 				return nil, shardMergeErrf("shard %d: %v", s, err)
 			}
-		} else if sh.Sampling != nil {
-			return nil, shardMergeErrf("shard %d carries estimator state but shard 0 does not", s)
+		case sampled && !sh.Interrupted:
+			return nil, shardMergeErrf("shard %d carries no estimator state but its siblings do", s)
 		}
 		if cfg.KeepTrace && !sampled {
 			for j, out := range sh.Trace {
