@@ -31,6 +31,7 @@ check:
 	$(MAKE) stress-sample
 	$(MAKE) stress-cancel
 	$(MAKE) stress-detect
+	$(MAKE) stress-reuse
 	$(MAKE) serve-smoke
 	$(MAKE) bench-smoke
 
@@ -49,6 +50,16 @@ stress-cancel:
 stress-detect:
 	go test -race -run 'TestCampaignFaultFreeZeroFalsePositives|TestDetect' -count=3 .
 	go test -race -count=2 ./internal/detect
+
+# Clean-prefix reuse gate, repeated under the race detector: the cut-plan
+# replay contract (a pass replaying cached clean activations equals the
+# full forward pass bit for bit, at every layer of resnet_s, vit_tiny and
+# mlp) and the reuse golden file (deep-layer resnet_s/vit_tiny campaign
+# reports byte-identical to the engine that ran every pass in full).
+.PHONY: stress-reuse
+stress-reuse:
+	go test -race -run 'TestCut' -count=3 ./internal/nn
+	go test -race -run 'TestCampaignReuseGolden' -count=3 .
 
 # Campaign batching: benchstat-comparable sub-benchmarks (pipe two runs
 # into `benchstat old.txt new.txt`) plus the machine-readable performance

@@ -418,6 +418,21 @@ func (cfg *CampaignConfig) evalPool() (*EvalPool, error) {
 // sharded reports whether the campaign is one shard of a distributed run.
 func (cfg *CampaignConfig) sharded() bool { return cfg.ShardCount > 1 }
 
+// owns reports whether injection index i is in the campaign's stride shard
+// (every index when unsharded).
+func (cfg *CampaignConfig) owns(i int) bool {
+	return !cfg.sharded() || i%cfg.ShardCount == cfg.ShardIndex
+}
+
+// resumedPrefix returns how many injections a resumed campaign already
+// executed (0 without Resume); execution resumes at that index.
+func (cfg *CampaignConfig) resumedPrefix() int {
+	if cfg.Resume == nil {
+		return 0
+	}
+	return cfg.Resume.Completed
+}
+
 // validateShard checks the shard geometry. Zero values (unsharded) always
 // pass; a sharded campaign needs an in-range index, at most one shard per
 // injection, and no Resume state (shard reassignment re-runs whole shards —
@@ -515,6 +530,13 @@ type campaignRunner struct {
 	// campaignScratch). One per runner — a runner is single-threaded, and
 	// parallel workers each own a runner.
 	scratch *campaignScratch
+
+	// sel is the sampled campaign's selection (nil when exhaustive).
+	sel *campaignSelection
+
+	// reuse is this runner's clean-prefix cache (nil when its injections
+	// never revisit a pool sample; see prefixCache).
+	reuse *prefixCache
 }
 
 // campaignArena pools the float32 buffers backing batched campaign inputs,
@@ -800,6 +822,7 @@ func (s *Simulator) newRunner(ctx context.Context, cfg CampaignConfig) (*campaig
 	// Any early exit below must restore the weights it may have quantized.
 	fail := func(err error) (*campaignRunner, error) {
 		r.backup.Restore()
+		r.reuse.release()
 		return nil, err
 	}
 	// Offline weight conversion. The deprecated QuantizeWeights flag keeps
@@ -830,6 +853,10 @@ func (s *Simulator) newRunner(ctx context.Context, cfg CampaignConfig) (*campaig
 			return fail(err)
 		}
 	}
+	// The executed indices are known before the fault-free sweeps, so the
+	// sweep whose hooks match an injected pass can fill the prefix cache.
+	r.sel = r.buildSelection()
+	r.reuse = r.newPrefixCache()
 
 	// Fault-free reference per pool sample. Serial campaigns compute them
 	// at batch 1; batched campaigns batch the sweep under per-row emulation
@@ -845,6 +872,16 @@ func (s *Simulator) newRunner(ctx context.Context, cfg CampaignConfig) (*campaig
 	if r.pipeline != nil {
 		refHooks.Merge(r.pipeline.CalibrationHooks())
 	}
+	// Without a pipeline this sweep runs an injected pass's hooks minus the
+	// injection and the legacy range clamp, so it fills the prefix cache;
+	// a watch stands in for the clamp (see prefixCache).
+	var fill *prefixCache
+	if r.pipeline == nil {
+		fill = r.reuse
+	}
+	if fill != nil && r.ranger != nil {
+		refHooks.PostForward(nn.AllLayers(), fill.clampWatch(r.ranger))
+	}
 	n := pool.Len()
 	r.cleanPred = make([]int, n)
 	r.cleanLoss = make([]float64, n)
@@ -857,7 +894,7 @@ func (s *Simulator) newRunner(ctx context.Context, cfg CampaignConfig) (*campaig
 		if hi > n {
 			hi = n
 		}
-		logits := nn.Forward(cleanCtx, s.model, pool.X.Slice(lo, hi))
+		logits := fill.sweep(cleanCtx, s.model, pool.X.Slice(lo, hi), lo, nil)
 		copy(r.cleanPred[lo:hi], logits.ArgMaxRows())
 		copy(r.cleanLoss[lo:hi], train.CrossEntropyPerSample(logits, pool.Y[lo:hi]))
 	}
@@ -900,7 +937,9 @@ func (r *campaignRunner) measureFalsePositives(ctx context.Context) error {
 		rec := detect.NewRecorder(hi - lo)
 		hooks := r.armedCleanHooks(rec)
 		x := r.pool.X.Slice(lo, hi)
-		logits := nn.Forward(nn.NewContext(r.withTiming(hooks)), r.sim.model, x)
+		// This sweep runs an injected pass's hooks minus the injection, so
+		// it fills the prefix cache.
+		logits := r.reuse.sweep(nn.NewContext(r.withTiming(hooks)), r.sim.model, x, lo, rec)
 		if needRerun {
 			redo := r.armedCleanHooks(detect.NewRecorder(hi - lo))
 			again := nn.Forward(nn.NewContext(r.withTiming(redo)), r.sim.model, x)
@@ -952,9 +991,16 @@ func (r *campaignRunner) detectorBaseline() map[string]metrics.DetectorStats {
 	return m
 }
 
+// executes reports whether the runner executes injection index i: one its
+// shard owns that a sampled campaign's selection keeps.
+func (r *campaignRunner) executes(i int) bool {
+	return r.cfg.owns(i) && r.sel.executed(i)
+}
+
 func (r *campaignRunner) close() {
 	r.backup.Restore()
 	r.scratch.release()
+	r.reuse.release()
 }
 
 // baseHooks assembles the serial-pass emulation hooks from the campaign's
@@ -1104,7 +1150,15 @@ func (r *campaignRunner) runGroup(faultsets [][]inject.Fault, samples []int, out
 		rec = detect.NewRecorder(rows)
 		hooks.Merge(r.pipeline.Arm(rec))
 	}
-	logits := nn.Forward(nn.NewContext(r.withTiming(hooks)), r.sim.model, x)
+	ctx := nn.NewContext(r.withTiming(hooks))
+	replay := r.reuse.hit(samples, r.batch)
+	if replay {
+		r.reuse.replayInto(ctx, samples)
+	}
+	logits := nn.Forward(ctx, r.sim.model, x)
+	if replay {
+		r.reuse.replayed(rows)
+	}
 
 	// Re-execution without the transient fault, shared by legacy
 	// MeasureDMR, the pipeline's DMR comparator, and RecoverReexecute.
@@ -1121,7 +1175,11 @@ func (r *campaignRunner) runGroup(faultsets [][]inject.Fault, samples []int, out
 			// the clean duplicate are discarded.
 			redo.Merge(r.pipeline.Arm(detect.NewRecorder(rows)))
 		}
-		return nn.Forward(nn.NewContext(r.withTiming(redo)), r.sim.model, x)
+		redoCtx := nn.NewContext(r.withTiming(redo))
+		if replay {
+			r.reuse.replayInto(redoCtx, samples)
+		}
+		return nn.Forward(redoCtx, r.sim.model, x)
 	}
 	if cfg.MeasureDMR || (r.pipeline != nil && r.pipeline.NeedsRerun()) {
 		again = runRedo()
@@ -1351,13 +1409,12 @@ func (s *Simulator) runShard(ctx context.Context, cfg CampaignConfig, shared *sh
 	defer runner.close()
 
 	rep := &CampaignReport{Config: cfg, PerDetector: runner.detectorBaseline()}
-	sel := runner.buildSelection()
+	sel := runner.sel
 	if sel != nil {
 		rep.Sampling = sel.space.NewReport()
 	}
-	skip := 0
+	skip := cfg.resumedPrefix()
 	if cfg.Resume != nil {
-		skip = cfg.Resume.Completed
 		rep.CampaignResult = cfg.Resume.Result
 		rep.Detected = cfg.Resume.Detected
 		rep.Aborted = cfg.Resume.Aborted
@@ -1369,10 +1426,9 @@ func (s *Simulator) runShard(ctx context.Context, cfg CampaignConfig, shared *sh
 	// The injection indices this shard owns and executes: its stride slice
 	// past a resumed prefix (Resume is standalone and unsharded only), minus
 	// the indices a sampled campaign's selection skips or prunes.
-	owns := func(i int) bool { return !cfg.sharded() || i%cfg.ShardCount == cfg.ShardIndex }
 	mine := make([]int, 0, cfg.PlannedInjections())
 	for i := skip; i < cfg.Injections; i++ {
-		if owns(i) && sel.executed(i) {
+		if runner.executes(i) {
 			mine = append(mine, i)
 		}
 	}
@@ -1406,7 +1462,7 @@ func (s *Simulator) runShard(ctx context.Context, cfg CampaignConfig, shared *sh
 	// stop leaves Drawn > Pruned+Skipped+Executed+Aborted in the strata the
 	// stop cut short.
 	if sel != nil {
-		sel.account(rep.Sampling, skip, cfg.Injections, owns)
+		sel.account(rep.Sampling, skip, cfg.Injections, cfg.owns)
 	}
 	if shared.barrier != nil {
 		shared.barrier.publish(cfg.ShardIndex, rep.Sampling)

@@ -151,6 +151,10 @@ type Context struct {
 	// exists inside the reduction.
 	pendingAccum      AccumSpec
 	pendingAccumValid bool
+
+	// cut, when set, routes every Apply through a clean-prefix plan: the
+	// probe building it, or a pass recording or replaying its frontier.
+	cut *cutRun
 }
 
 // NewContext returns a context carrying the given hooks (may be nil).
@@ -170,7 +174,21 @@ func (c *Context) SetVisitor(fn func(Module, LayerInfo)) { c.visitor = fn }
 // Residual, blocks) are transparent: they get no hooks and no layer index,
 // so "layer" always means a computational module.
 func (c *Context) Apply(m Module, x *tensor.Tensor) *tensor.Tensor {
-	if c == nil || (c.hooks == nil && c.visitor == nil) || m.Kind() == KindContainer {
+	switch {
+	case c == nil:
+		return m.Forward(nil, x)
+	case c.cut != nil:
+		return c.cut.apply(c, m, x)
+	case c.hooks == nil && c.visitor == nil:
+		return m.Forward(c, x)
+	}
+	return c.visitModule(m, x)
+}
+
+// visitModule runs m on x: a container transparently, a layer under its
+// index with the visitor and hooks around it.
+func (c *Context) visitModule(m Module, x *tensor.Tensor) *tensor.Tensor {
+	if m.Kind() == KindContainer {
 		return m.Forward(c, x)
 	}
 	info := LayerInfo{Name: m.Name(), Kind: m.Kind(), Index: c.visit}
@@ -240,6 +258,9 @@ func (c *Context) TakeAccum() (AccumSpec, bool) {
 func (c *Context) Reset() {
 	if c != nil {
 		c.visit = 0
+		if c.cut != nil {
+			c.cut.next = 0
+		}
 	}
 }
 

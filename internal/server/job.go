@@ -138,12 +138,17 @@ func (j *job) snapshotCfg() goldeneye.CampaignConfig {
 
 // finish moves the job to a terminal state exactly once, reporting whether
 // this call made the transition; later calls are ignored (a cancel racing
-// completion keeps whichever landed first).
-func (j *job) finish(state JobState, rep *goldeneye.CampaignReport, err error) bool {
+// completion keeps whichever landed first). claimed, when non-nil, runs
+// after the transition is claimed and before it is published, so whatever
+// it counts is visible to anyone who sees the terminal state.
+func (j *job) finish(state JobState, rep *goldeneye.CampaignReport, err error, claimed func()) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state.Terminal() {
 		return false
+	}
+	if claimed != nil {
+		claimed()
 	}
 	j.state = state
 	j.report = rep

@@ -255,6 +255,40 @@ func TestResubmitAfterDoneHitsCache(t *testing.T) {
 	}
 }
 
+// TestJobsTotalCountedBeforeDone: a job's terminal count lands before the
+// job is published Done, so whoever sees it finished reads it counted. The
+// test polls the state, as a status client does, to read the counter the
+// moment Done becomes visible.
+func TestJobsTotalCountedBeforeDone(t *testing.T) {
+	s, ts := newTestServer(t, Options{})
+	_, st := submit(t, ts, testSpec(t))
+	s.mu.Lock()
+	j := s.jobs[st.ID]
+	s.mu.Unlock()
+	for j.terminalState() == "" {
+	}
+	if n := s.reg.Counter(telemetry.Label(MetricJobsTotal, "state", string(JobDone))).Value(); n != 1 {
+		t.Fatalf("jobs_total{state=done} = %d right after Done, want 1", n)
+	}
+
+	// The ordering itself: finish runs its claim callback before anything
+	// can observe the terminal state, and only for the call that claims it.
+	j = newJob("job-x", "", 0, testSpec(t), 1)
+	claims := 0
+	j.finish(JobDone, nil, nil, func() {
+		claims++
+		select {
+		case <-j.finished:
+			t.Error("terminal state published before the claim callback ran")
+		default:
+		}
+	})
+	j.finish(JobCancelled, nil, nil, func() { claims++ })
+	if claims != 1 {
+		t.Fatalf("claim callback ran %d times, want 1", claims)
+	}
+}
+
 // TestQueueBackpressure fills the queue behind a deliberately held worker
 // and checks the overflow submission bounces with 429 + Retry-After.
 func TestQueueBackpressure(t *testing.T) {

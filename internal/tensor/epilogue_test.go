@@ -131,6 +131,9 @@ func TestGatherRowsIntoMatchesGather0(t *testing.T) {
 	bitsEqual(t, dst, Gather0(src, idx))
 }
 
+// The race detector makes sync.Pool drop a random share of Puts, so under
+// -race only the Get/Put length and capacity-class contract is asserted;
+// pointer reuse is checked in normal builds.
 func TestArenaReusesBuffers(t *testing.T) {
 	a := NewArena()
 	b1 := a.Get(100)
@@ -138,8 +141,11 @@ func TestArenaReusesBuffers(t *testing.T) {
 		t.Fatalf("Get(100) gave len %d cap %d", len(b1), cap(b1))
 	}
 	a.Put(b1)
-	b2 := a.Get(128) // same size class: must come back from the pool
-	if &b1[0] != &b2[0] {
+	b2 := a.Get(128) // same size class: comes back from the pool
+	if len(b2) != 128 || cap(b2) != 128 {
+		t.Fatalf("Get(128) gave len %d cap %d", len(b2), cap(b2))
+	}
+	if !raceEnabled && &b1[0] != &b2[0] {
 		t.Fatal("arena did not reuse the pooled buffer")
 	}
 	if got := a.Get(0); got != nil {

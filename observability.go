@@ -31,6 +31,10 @@ const (
 	MetricCampaignOccupancy  = "goldeneye_campaign_batch_occupancy"
 	MetricCampaignRate       = "goldeneye_campaign_injections_per_second"
 
+	// MetricCampaignPrefixReused counts injections whose pass replayed the
+	// cached clean prefix and started at the fault layer (see prefixCache).
+	MetricCampaignPrefixReused = "goldeneye_campaign_prefix_reused_total"
+
 	// Detection-pipeline instruments (populated when CampaignConfig.
 	// Detectors is non-empty): per-detector detection counters and coverage
 	// gauges are labeled detector="<name>".
